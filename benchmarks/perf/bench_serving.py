@@ -18,7 +18,7 @@ batch-size histogram (was the batcher actually coalescing?), and two
 bit-equality guards: server outputs must equal
 :func:`repro.nn.serve.predict_batched` on the stacked stream *and* a
 request served alone must reproduce the coalesced result bit-for-bit
-(the canonical padded-shape property).
+(the 4-row granule property of :func:`repro.nn.serve.forward_padded`).
 
 Runnable standalone for CI gating::
 
@@ -127,7 +127,7 @@ def run(smoke: bool = False) -> Dict[str, object]:
             batched_out = server.predict_many("resnet18", requests)
             best_batched = min(best_batched, time.perf_counter() - start)
         # bit-equality guard 2: a request served alone (batch of 1, padded
-        # to the same canonical shape) must reproduce the coalesced bits
+        # to the 4-row granule) must reproduce the coalesced bits
         solo = np.stack([server.predict("resnet18", requests[i])
                          for i in range(min(4, n))])
         stats = server.stats_report()["models"]["resnet18"]
@@ -135,7 +135,7 @@ def run(smoke: bool = False) -> Dict[str, object]:
     # bit-equality guard 1: the server's dynamic batches vs the library's
     # fixed-size batched inference over the identical stream
     # (the reference runs on srv_model: seq_model is pinned for batch-1
-    # serving, while the claim is about the server's canonical shape)
+    # serving, while the claim is about the server's granule shapes)
     reference = predict_batched(srv_model, requests, batch_size=max_batch)
 
     return {
@@ -487,7 +487,7 @@ def check_report(report: Dict[str, object]) -> list:
                       "predict_batched on the same stream")
     if not report["solo_bit_identical_to_batched"]:
         errors.append("a request served alone diverges from its coalesced "
-                      "result (canonical-shape property violated)")
+                      "result (row-granule property violated)")
     speedup = report["speedup_batched_vs_sequential"]
     if speedup < MIN_SPEEDUP:
         errors.append(f"dynamic batching is {speedup:.2f}x sequential serving "

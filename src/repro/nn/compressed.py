@@ -376,10 +376,11 @@ class CentroidEngine:
     def pin_mode(self, batch: int, dtype: np.dtype) -> str:
         """Resolve ``auto`` at one batch shape and pin the result.
 
-        Steady-state serving runs every batch at one canonical shape; after
-        pinning, the engine stays on the exact code path the cost model
-        chose for that shape — no per-call re-selection, and no surprise
-        mode flips if a caller later probes with a different batch size.
+        Steady-state serving runs every batch at a few fixed shapes (see
+        :mod:`repro.nn.serve`); after pinning, the engine stays on the exact
+        code path the cost model chose for the largest one — no per-call
+        re-selection, and no surprise mode flips if a caller later probes
+        with a different batch size.
         Returns the pinned mode.
         """
         self.mode = self.choose_mode(batch, dtype)
@@ -693,8 +694,9 @@ class CompressedConv2d(Module):
 
     Keeps Conv2d's interface surface (channel/kernel/stride attributes and
     the im2col ``_cache``) so FLOPs counting and downstream tooling treat
-    it as a convolution.  Holds a persistent im2col buffer that batched
-    serving (:func:`repro.nn.serve.predict_batched`) reuses across calls.
+    it as a convolution.  Holds a persistent im2col buffer, sized for the
+    largest batch seen, that batched serving
+    (:func:`repro.nn.serve.predict_batched`) reuses across calls.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
@@ -744,12 +746,14 @@ class CompressedConv2d(Module):
         k = self.kernel_size
         out_h = F.conv_output_size(h, k, self.stride, self.padding)
         out_w = F.conv_output_size(w, k, self.stride, self.padding)
-        shape = (n * out_h * out_w, self.in_channels * k * k)
+        rows = n * out_h * out_w
         buf = self._col_buffer
-        if buf is None or buf.shape != shape or buf.dtype != x.dtype:
-            buf = np.empty(shape, dtype=x.dtype)
+        # one buffer at the largest row count seen; smaller batches write a
+        # (C-contiguous) prefix view, so granule-shape changes never allocate
+        if buf is None or buf.shape[0] < rows or buf.dtype != x.dtype:
+            buf = np.empty((rows, self.in_channels * k * k), dtype=x.dtype)
             self._col_buffer = buf
-        return F.im2col(x, (k, k), self.stride, self.padding, out=buf)
+        return F.im2col(x, (k, k), self.stride, self.padding, out=buf[:rows])
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x).astype(self.dtype, copy=False)

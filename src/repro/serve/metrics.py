@@ -32,7 +32,8 @@ class ServingMetrics:
 
     Records three request outcomes (``completed`` / ``shed`` / ``failed``)
     plus, for completed requests, the queue-wait and total latency, and for
-    every executed batch its size.  ``snapshot()`` turns the raw samples
+    every executed batch its real row count and the padded row count the
+    forward actually ran at.  ``snapshot()`` turns the raw samples
     into the JSON stats report the server exposes.
     """
 
@@ -49,6 +50,7 @@ class ServingMetrics:
         self.shed = 0
         self.failed = 0
         self.batches = 0
+        self.executed_rows = 0
         # fault-handling outcomes (see repro.serve.errors for the taxonomy)
         self.timeouts = 0
         self.retries = 0
@@ -58,9 +60,11 @@ class ServingMetrics:
         self.degraded_serves = 0
 
     # -- recording (hot path) -------------------------------------------------
-    def record_batch(self, size: int) -> None:
+    def record_batch(self, size: int, executed_rows: int) -> None:
+        """One batch of ``size`` real rows, forwarded at ``executed_rows``."""
         with self._lock:
             self.batches += 1
+            self.executed_rows += executed_rows
             self._batch_sizes[size] = self._batch_sizes.get(size, 0) + 1
 
     def record_request(self, latency_s: float, queue_wait_s: float) -> None:
@@ -118,7 +122,7 @@ class ServingMetrics:
             waits = list(self._queue_waits)
             sizes = dict(self._batch_sizes)
             completed, shed, failed = self.completed, self.shed, self.failed
-            batches = self.batches
+            batches, executed_rows = self.batches, self.executed_rows
             faults = {
                 "timeouts": self.timeouts,
                 "retries": self.retries,
@@ -150,6 +154,9 @@ class ServingMetrics:
                 "p99": percentile(waits, 99) * 1e3,
             },
             "batch_size_histogram": {str(k): v for k, v in sorted(sizes.items())},
+            # rows the forwards ran at, padding included: padding waste is
+            # 1 - real rows / executed_rows_total
+            "executed_rows_total": executed_rows,
             "mean_batch_size": mean_batch,
             "window_seconds": elapsed,
             "faults": faults,

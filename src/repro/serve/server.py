@@ -3,9 +3,16 @@
 :class:`ModelServer` holds a registry of named models, each with its own
 :class:`~repro.serve.batcher.DynamicBatcher`, batching policy, worker pool
 and :class:`~repro.serve.metrics.ServingMetrics`.  Workers pull coalesced
-batches off the queue, stack the request payloads, forward them at the
-canonical padded batch shape (:func:`repro.nn.serve.forward_padded`) and
-scatter the output rows back to the per-request futures.
+batches off the queue, stack the request payloads, forward them zero-padded
+to the 4-row granule (:func:`repro.nn.serve.forward_padded`: a batch of
+``r`` rows runs at the smallest multiple of 4 holding it, so a 16-row
+server runs 4-, 8-, 12- or 16-row forwards) and scatter the output rows
+back to the per-request futures.  The granule keeps every response
+bit-identical to the same request served alone or through
+:func:`repro.nn.serve.predict_batched`, while a lone request costs a 4-row
+forward instead of a 16-row one.  Each replica checks the granule against
+the full shape on its first short batch and pads to ``max_batch_size``
+instead if the host's BLAS breaks it (see :mod:`repro.nn.serve`).
 
 Models are served from the compressed-domain modules of
 :mod:`repro.nn.compressed` (the loader swaps them in), so a running server
@@ -57,7 +64,12 @@ import numpy as np
 from repro.core import telemetry
 from repro.core.faults import FaultPlan, FaultRule, fault_point
 from repro.nn.module import Module
-from repro.nn.serve import forward_padded, prepare_for_serving
+from repro.nn.serve import (
+    forget_granule_check,
+    forward_padded,
+    prepare_for_serving,
+    serving_rows,
+)
 from repro.serve.batcher import BatchPolicy, DynamicBatcher, Request
 from repro.serve.errors import (
     EngineFault,
@@ -257,7 +269,7 @@ class ModelServer:
 
         ``input_shape`` enables submit-time shape validation and, together
         with ``warmup``, pre-builds every replica's serving caches at the
-        canonical batch shape before the first request lands.
+        ``max_batch_size`` rows before the first request lands.
         ``fault_policy`` overrides the server-wide retry/deadline/quarantine
         defaults for this model.
         """
@@ -273,7 +285,7 @@ class ModelServer:
             if name in self._entries:
                 raise ValueError(f"model {name!r} is already registered")
         # warm *before* publishing the entry: a replica that cannot forward
-        # at the canonical shape must fail this call, not linger as a
+        # at the serving shape must fail this call, not linger as a
         # registered model whose queue no worker ever drains
         entry = _ModelEntry(name, replicas, policy or self.default_policy,
                             fault_policy or self.default_fault_policy,
@@ -466,12 +478,12 @@ class ModelServer:
         return live
 
     def _forward_replica(self, entry: _ModelEntry, state: _ReplicaState,
-                         stacked: np.ndarray) -> np.ndarray:
+                         stacked: np.ndarray) -> Tuple[int, np.ndarray]:
+        """Forward one stacked batch; returns (rows it ran at, outputs)."""
         fault_point("serve.replica.forward")
-        if entry.policy.pad_to_full_batch:
-            return forward_padded(state.model, stacked,
-                                  entry.policy.max_batch_size)
-        return np.asarray(state.model.forward(stacked))
+        batch_size = entry.policy.max_batch_size
+        rows = serving_rows(state.model, stacked, batch_size)
+        return rows, forward_padded(state.model, stacked, batch_size)
 
     def _degrade(self, entry: _ModelEntry, state: _ReplicaState) -> None:
         """Pin every compressed engine of this replica to the dense
@@ -484,6 +496,8 @@ class ModelServer:
         state.degraded = True
         telemetry.event("serve.degrade", model=entry.name,
                         replica=state.index)
+        # dense kernels may block rows differently: re-check the granule
+        forget_granule_check(state.model)
         degrade = getattr(state.model, "degrade_to_dense", None)
         if degrade is not None:
             # process replicas (and any other proxy) own their degradation
@@ -520,7 +534,9 @@ class ModelServer:
                                 if tracer is not None else telemetry.NOOP)
                 try:
                     with forward_span:
-                        outputs = self._forward_replica(entry, state, stacked)
+                        rows, outputs = self._forward_replica(entry, state,
+                                                              stacked)
+                        forward_span.set_attribute("rows", rows)
                 except EngineFault:
                     if not entry.fault_policy.degrade_on_engine_fault:
                         raise
@@ -528,13 +544,16 @@ class ModelServer:
                     with (tracer.span("serve.forward",
                                       {"replica": state.index,
                                        "degraded": True})
-                          if tracer is not None else telemetry.NOOP):
-                        outputs = self._forward_replica(entry, state, stacked)
+                          if tracer is not None
+                          else telemetry.NOOP) as degraded_span:
+                        rows, outputs = self._forward_replica(entry, state,
+                                                              stacked)
+                        degraded_span.set_attribute("rows", rows)
                     entry.metrics.record_degraded(len(batch))
             except Exception as error:  # noqa: BLE001 - routed per request below
                 self._handle_batch_failure(entry, state, batch, error)
                 return False
-            entry.metrics.record_batch(len(batch))
+            entry.metrics.record_batch(len(batch), rows)
             for row, request in enumerate(batch):
                 request.set_result(outputs[row])
                 entry.metrics.record_request(

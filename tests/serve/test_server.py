@@ -7,6 +7,9 @@ import pytest
 
 from repro.core import LayerCompressionConfig, MVQCompressor
 from repro.nn import Conv2d, Sequential, predict_batched
+from repro.nn.compressed import swap_to_compressed
+from repro.nn.models import resnet18_mini
+from repro.nn.serve import serving_rows
 from repro.serve import (
     BatchPolicy,
     ModelServer,
@@ -76,6 +79,81 @@ class TestBitEquality:
         for i, out in results.items():
             # arbitrary coalescing across clients, identical bits per row
             assert np.array_equal(out, reference[i])
+
+
+RESNET_SHAPE = (3, 16, 16)
+
+
+@pytest.fixture(scope="module")
+def resnet_replicas():
+    """Three serving replicas of one compressed ResNet-18-mini, whose dense
+    ``Linear`` head is the layer whose bits depend on the GEMM row count."""
+    cfg = LayerCompressionConfig(k=16, d=8, max_kmeans_iterations=4)
+    compressed = MVQCompressor(cfg).compress(resnet18_mini(num_classes=5,
+                                                           seed=1))
+    replicas = []
+    for _ in range(3):
+        replica = resnet18_mini(num_classes=5, seed=1)
+        swap_to_compressed(replica, compressed, mode="auto")
+        replica.eval()
+        replicas.append(replica)
+    return replicas
+
+
+def _spy_rows(model):
+    """Record the row count of every forward ``model`` runs."""
+    rows = []
+    forward = model.forward
+
+    def spy(x):
+        rows.append(x.shape[0])
+        return forward(x)
+    model.forward = spy
+    return rows
+
+
+class TestRowGranuleContract:
+    def test_every_row_count_matches_solo_and_predict_batched(
+            self, resnet_replicas, rng):
+        solo_model, coalesce_model, reference_model = resnet_replicas
+        x = rng.normal(size=(16, *RESNET_SHAPE))
+        reference = predict_batched(reference_model, x, batch_size=16)
+        solo_srv, coalesce_srv = ModelServer(), ModelServer()
+        solo_srv.register("r", solo_model, input_shape=RESNET_SHAPE,
+                          policy=BatchPolicy(max_batch_size=16,
+                                             max_wait_ms=0.0))
+        # a long max-wait: each burst coalesces into one batch of its size
+        coalesce_srv.register("r", coalesce_model, input_shape=RESNET_SHAPE,
+                              policy=BatchPolicy(max_batch_size=16,
+                                                 max_wait_ms=100.0))
+        solo_rows = _spy_rows(solo_model)
+        coalesce_rows = _spy_rows(coalesce_model)
+        try:
+            with solo_srv, coalesce_srv:
+                solo = np.stack([solo_srv.predict("r", row) for row in x])
+                for count in range(1, 17):
+                    coalesced = coalesce_srv.predict_many("r", x[:count])
+                    assert np.array_equal(coalesced, solo[:count]), count
+                    assert np.array_equal(coalesced, reference[:count]), count
+                    assert np.array_equal(
+                        predict_batched(reference_model, x[:count],
+                                        batch_size=16),
+                        reference[:count]), count
+                stats = coalesce_srv.stats_report()["models"]["r"]
+        finally:
+            del solo_model.forward, coalesce_model.forward
+        assert np.array_equal(solo, reference)
+        executed = solo_rows + coalesce_rows
+        assert solo_rows and coalesce_rows
+        assert all(rows % 4 == 0 for rows in executed)
+        served = [serving_rows(coalesce_model, x[:count], 16)
+                  for count in range(1, 17)]
+        assert stats["executed_rows_total"] == sum(served)
+        # besides the served batches, at most one check forward per
+        # granule shape below 16 (the warm-up was the full-shape reference)
+        assert len(coalesce_rows) - len(served) <= 3
+        assert stats["batch_size_histogram"] == {str(n): 1
+                                                 for n in range(1, 17)}
 
 
 class TestRegistryAndValidation:
@@ -155,6 +233,8 @@ class TestOverloadAndStats:
         histogram = stats["batch_size_histogram"]
         assert sum(int(size) * count for size, count in histogram.items()) == 10
         assert stats["batches_executed"] == sum(histogram.values())
+        # the forwards ran at the 4-row granule (max_batch_size is 4 here)
+        assert stats["executed_rows_total"] == 4 * stats["batches_executed"]
         assert stats["latency_ms"]["p95"] >= stats["latency_ms"]["p50"] >= 0.0
         assert stats["throughput_rps"] > 0
         policies = server.stats_report()["policies"]["stack"]
