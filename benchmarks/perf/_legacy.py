@@ -1,14 +1,23 @@
-"""Frozen copy of the seed (pre-optimisation) clustering hot loops.
+"""Frozen copies of replaced hot loops, kept as fixed comparators.
 
-This is the ``np.add.at`` / full-distance-matrix implementation the repo
-shipped with, kept verbatim so the perf suite can report a stable
-before/after speedup for the optimised kernels in
-:mod:`repro.core.masked_kmeans`.  Not used by the library itself.
+* The seed (pre-optimisation) clustering loops — the ``np.add.at`` /
+  full-distance-matrix implementation the repo shipped with — so the perf
+  suite can report a stable before/after speedup for the optimised kernels
+  in :mod:`repro.core.masked_kmeans`; likewise the seed loop-based im2col.
+* The fancy-index centroid kernels of :class:`repro.nn.compressed.
+  CentroidEngine`, which the LUT kernels replaced: the LUT path must stay
+  bit-identical to them, and ``speedup_lut_vs_centroid`` times the two.
+
+Kept verbatim; not used by the library itself.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
+
+from repro.core.precision import distance_block_bytes
 
 
 def legacy_masked_assign(data: np.ndarray, mask: np.ndarray,
@@ -83,3 +92,123 @@ def legacy_conv2d_forward(x: np.ndarray, weight: np.ndarray, bias, stride: int,
     if bias is not None:
         out += bias
     return out.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2), cols
+
+
+class CentroidReference:
+    """The decode-free centroid kernels ``CentroidEngine`` ran before its
+    LUT kernels replaced them, bound to one live engine.
+
+    Attribute reads fall through to the engine (its effective-codeword
+    table, routing index, chunking and block-layout helpers), so the method
+    bodies below are the former library code verbatim.
+    """
+
+    def __init__(self, engine):
+        self.engine = engine
+
+    def __getattr__(self, name):
+        return getattr(self.engine, name)
+
+    # Forward and backward are the same two primitives with the roles of
+    # the block and output dimensions swapped, so one gather core and one
+    # scatter core serve all four directions:
+    #
+    # * gather: subvector-shaped operands meet the table once per
+    #   (row, codeword), then a fused segment-gather routes partial sums —
+    #   ``route`` maps (row, output) to the table entry to pick up.
+    # * scatter: flat operands are segment-summed per (row, codeword)
+    #   first (``route`` maps (row, operand) to the segment), then one
+    #   small GEMM against the table expands each segment to d outputs.
+
+    def _gather_core(self, rows3: np.ndarray, route: np.ndarray,
+                     out_width: int) -> np.ndarray:
+        """``(bc, R, d)`` operands x table -> routed ``(bc, out_width)``."""
+        table = self._table_as(rows3.dtype)
+        u = table.shape[0]
+        bc, r, _ = rows3.shape
+        prod = (rows3.reshape(bc * r, self.d) @ table.T).reshape(bc, r, u)
+        # (R, U, bc) layout makes each routed read a contiguous bc-vector
+        prod = np.ascontiguousarray(prod.transpose(1, 2, 0))
+        acc = np.zeros((out_width, bc), dtype=rows3.dtype)
+        chunk = max(1, distance_block_bytes() //
+                    max(1, out_width * bc * rows3.itemsize))
+        for lo in range(0, r, chunk):
+            rr = np.arange(lo, min(lo + chunk, r))
+            acc += prod[rr[:, None], route[rr]].sum(axis=0)
+        return acc.T
+
+    def _scatter_core(self, values: np.ndarray, route: np.ndarray) -> np.ndarray:
+        """``(bc, M)`` operands segment-summed by ``route`` (R, M), then
+        expanded through the table -> ``(bc, R, d)``."""
+        table = self._table_as(values.dtype)
+        u = table.shape[0]
+        bc = values.shape[0]
+        r = route.shape[0]
+        seg = np.zeros((r, u, bc), dtype=values.dtype)
+        np.add.at(seg, (np.arange(r)[:, None], route), values.T[None, :, :])
+        expanded = seg.transpose(0, 2, 1).reshape(r * bc, u) @ table
+        return np.ascontiguousarray(
+            expanded.reshape(r, bc, self.d).transpose(1, 0, 2))
+
+    # -- centroid-domain forward ----------------------------------------------
+    def _forward_gather(self, cols: np.ndarray) -> np.ndarray:
+        """Gather-form: skinny table GEMM, then fused segment-gather."""
+        out = np.empty((cols.shape[0], self.c_out), dtype=cols.dtype)
+        for lo, hi in self._centroid_chunks(cols.shape[0], cols.itemsize):
+            out[lo:hi] = self._gather_core(
+                self._to_blocks(cols[lo:hi]), self._assign2d.T, self.c_out)
+        return out
+
+    def _forward_scatter(self, cols: np.ndarray) -> np.ndarray:
+        """Scatter-form (OUTPUT grouping): segment-sum activations per
+        codeword and output group, then one small GEMM against the table."""
+        out = np.empty((cols.shape[0], self.c_out), dtype=cols.dtype)
+        for lo, hi in self._centroid_chunks(cols.shape[0], cols.itemsize):
+            partial = self._scatter_core(cols[lo:hi], self._assign2d)
+            out[lo:hi] = partial.reshape(hi - lo, self.c_out)
+        return out
+
+    # -- centroid-domain backward (w.r.t. activations) ------------------------
+    def _backward_gather(self, grad_out: np.ndarray) -> np.ndarray:
+        """OUTPUT grouping: the transpose product is gather-form."""
+        n_go = self.c_out // self.d
+        grad_cols = np.empty((grad_out.shape[0], self.n_in), dtype=grad_out.dtype)
+        for lo, hi in self._centroid_chunks(grad_out.shape[0], grad_out.itemsize):
+            rows3 = grad_out[lo:hi].reshape(hi - lo, n_go, self.d)
+            grad_cols[lo:hi] = self._gather_core(rows3, self._assign2d, self.n_in)
+        return grad_cols
+
+    def _backward_scatter(self, grad_out: np.ndarray) -> np.ndarray:
+        """INPUT/KERNEL grouping: scatter grad_out per codeword, then GEMM."""
+        grad_cols = np.empty((grad_out.shape[0], self.n_in), dtype=grad_out.dtype)
+        for lo, hi in self._centroid_chunks(grad_out.shape[0], grad_out.itemsize):
+            blocks3 = self._scatter_core(grad_out[lo:hi], self._assign2d.T)
+            grad_cols[lo:hi] = self._from_blocks(blocks3)
+        return grad_cols
+
+    def forward(self, cols: np.ndarray) -> np.ndarray:
+        if self.gather_forward:
+            return self._forward_gather(cols)
+        return self._forward_scatter(cols)
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        if self.gather_forward:          # forward gathered -> backward scatters
+            return self._backward_scatter(grad_out)
+        return self._backward_gather(grad_out)
+
+
+@contextmanager
+def centroid_reference(model):
+    """Within the scope, every compressed engine in ``model`` (which may be
+    a single compressed module) runs forward and backward through the
+    frozen centroid kernels, whatever its mode."""
+    engines = [module.engine for _, module in model.named_modules()
+               if hasattr(module, "engine")]
+    for engine in engines:
+        reference = CentroidReference(engine)
+        engine.forward, engine.backward = reference.forward, reference.backward
+    try:
+        yield
+    finally:
+        for engine in engines:
+            del engine.forward, engine.backward

@@ -35,6 +35,7 @@ if __package__ in (None, ""):  # running as a plain script
 
 import numpy as np
 
+from benchmarks.perf._legacy import centroid_reference
 from benchmarks.perf._timing import best_of
 from repro.core import LayerCompressionConfig, MVQCompressor
 from repro.nn import Conv2d, Sequential, predict_batched
@@ -92,15 +93,15 @@ def _compressed_workload(p: Dict[str, object]) -> Dict[str, object]:
     for mod in model:
         mod.engine.mode = "dense"
     dense_cached_s = best_of(lambda: model.forward(x), p["repeats"])
-    for mod in model:
-        mod.engine.mode = "centroid"
-    centroid_s = best_of(lambda: model.forward(x), p["repeats"])
-    centroid_out = model.forward(x)
+    # the frozen centroid kernels the LUT path replaced (fixed comparator)
+    with centroid_reference(model):
+        centroid_s = best_of(lambda: model.forward(x), p["repeats"])
+        centroid_out = model.forward(x)
 
     # the integer/LUT fast path: precomputed routing tables, gather/
     # scatter-accumulate inner loop.  Exact LUT must be bit-identical to
-    # the centroid path; lut_quant trades a bounded activation-snap error
-    # for cheaper accumulation.
+    # the centroid reference; lut_quant trades a bounded activation-snap
+    # error for cheaper accumulation.
     for mod in model:
         mod.engine.mode = "lut"
     lut_s = best_of(lambda: model.forward(x), p["repeats"])
@@ -241,7 +242,7 @@ def check_report(report: Dict[str, object]) -> list:
                       f"(minimum {MIN_SPEEDUP}x)")
     if not report["lut_bit_identical_to_centroid"]:
         errors.append("exact LUT outputs are not bit-identical to the "
-                      "centroid path")
+                      "frozen centroid reference")
     quant_err = report["lut_quant_rel_err"]
     if not quant_err <= QUANT_REL_ERR_BUDGET:
         errors.append(f"lut_quant rel err {quant_err:.4f} exceeds the "

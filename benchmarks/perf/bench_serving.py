@@ -357,13 +357,18 @@ def run_sharded(smoke: bool = False) -> Dict[str, object]:
 
 
 def run_sharded_chaos(smoke: bool = False) -> Dict[str, object]:
-    """SIGKILL a sharded worker mid-load: re-spawn, zero hangs, exact bits.
+    """SIGKILL a warm sharded worker: re-spawn, zero hangs, exact bits.
 
     One of the pool's worker processes is killed (the real signal, not an
-    injected exception) while the request stream is in flight.  The gate
-    demands every request resolves (success or typed error — never a hang),
-    every success is bit-identical to the clean reference, and the dead
-    worker was re-spawned and re-attached to the arena.
+    injected exception) after the warm-up and before the request stream is
+    submitted, so the stream's first batch on that replica must re-spawn
+    it.  (A kill only ever lands between two forwards of the replica —
+    ``ProcessReplica.kill`` waits on the lock its ``forward`` holds — and a
+    kill issued while the stream runs can land after that replica's last
+    batch, leaving nothing to re-spawn it.)  The gate demands every request
+    resolves (success or typed error — never a hang), every success is
+    bit-identical to the clean reference, and the dead worker was
+    re-spawned and re-attached to the arena.
     """
     from repro.serve import ProcessReplicaPool
 
@@ -390,10 +395,9 @@ def run_sharded_chaos(smoke: bool = False) -> Dict[str, object]:
                            fault_policy=fault_policy)
         with server:
             server.predict_many("resnet18", requests[:2])  # warm
+            pool.replicas[0].kill()     # SIGKILL a warm worker between forwards
             start = time.perf_counter()
             handles = [server.submit("resnet18", row) for row in requests]
-            time.sleep(0.02)            # let batches reach the workers ...
-            pool.replicas[0].kill()     # ... then SIGKILL one mid-flight
             for i, handle in enumerate(handles):
                 try:
                     out = handle.result(timeout=120.0)
@@ -542,7 +546,7 @@ def main(argv=None) -> int:
         if chaos:
             sharded_chaos = run_sharded_chaos(smoke=quick)
             sharded_report["chaos"] = sharded_chaos
-            print(f"[perf] sharded chaos (worker SIGKILL mid-load): "
+            print(f"[perf] sharded chaos (warm worker SIGKILL): "
                   f"{sharded_chaos['requests_ok']} ok / "
                   f"{sharded_chaos['requests_typed_error']} typed errors / "
                   f"{sharded_chaos['requests_unresolved']} unresolved, "

@@ -3,33 +3,28 @@
 :class:`CompressedLinear` and :class:`CompressedConv2d` run forward — and
 backward with respect to activations — directly from ``(codebook,
 assignments, mask)`` without materialising the dense weight tensor per
-call.  The centroid-domain path mirrors what the MVQ accelerator does in
+call.  The decode-free path mirrors what the MVQ accelerator does in
 hardware: activations are combined with the small effective-codeword table
 once (``(batch, U)`` products, ``U ≪ N_G``) and partial sums are routed to
 outputs by assignment index, the product-reuse idea of the CRF + assignment
 routing datapath.
 
-Three execution modes per layer:
+Execution modes per layer:
 
-* ``"centroid"`` — the decode-free path.  For grouping strategies whose
-  subvectors lie along the *reduction* dimension (``INPUT``, ``KERNEL``)
-  the forward pass is *gather-form*: one skinny GEMM against the table
-  followed by a fused segment-gather of partial sums.  For the paper's
-  ``OUTPUT`` grouping the forward pass is *scatter-form* (activations are
-  segment-summed per codeword first) and the backward pass is gather-form.
 * ``"dense"`` — reconstruct the weight matrix **once**, cache it, and run
   ordinary GEMMs.  Still serves from compressed storage (nothing is decoded
   per call after the first), and on BLAS-backed CPUs it is usually the
   fastest steady state.
-* ``"lut"`` — the integer/LUT fast path.  Same dataflow as the centroid
-  path, but the per-call routing is driven by one precomputed flat
-  lookup table (``row * U + table_entry``, built once per layer like
-  ``_dense_cache``) so the gather direction becomes a single
-  ``np.take`` over the partial-product table and the scatter direction
-  becomes a per-sample ``np.bincount`` accumulate in the wide
-  accumulation dtype.  Bit-identical to ``"centroid"`` (same summation
-  order; at float32 the scatter direction keeps the ``np.add.at``
-  kernel precisely to preserve that contract).
+* ``"lut"`` — the decode-free path, with routing driven by one precomputed
+  flat lookup table (``row * U + table_entry``, built once per layer like
+  ``_dense_cache``).  For grouping strategies whose subvectors lie along
+  the *reduction* dimension (``INPUT``, ``KERNEL``) the forward pass is
+  *gather-form*: one skinny GEMM against the table, then a single
+  ``np.take`` of partial sums per chunk.  For the paper's ``OUTPUT``
+  grouping the forward pass is *scatter-form* (activations are segment
+  -summed per codeword first — a per-sample ``np.bincount`` at float64,
+  ``np.add.at`` at float32 — then expanded through the table) and the
+  backward pass is gather-form.
 * ``"lut_quant"`` — opt-in quantized-activation LUT mode: activations
   are snapped to a small symmetric alphabet (``act_levels`` per sign,
   int8-like at the default 127) before the LUT path runs with float32
@@ -38,16 +33,17 @@ Three execution modes per layer:
   max relative-error budget instead of bit-identity.  Never chosen by
   ``auto``.
 * ``"auto"`` — a calibrated :class:`InferenceCostModel` picks between
-  dense, centroid and exact-LUT per (layer, batch, dtype).  On CPU the
-  gather/scatter rates are far below BLAS GEMM rates, so large layers
-  fall back to the cached-dense path exactly as large ``k``/``U`` erodes
-  the centroid path's reuse; on the modelled accelerator the same
-  formulas favour the centroid/LUT paths.
+  dense and exact LUT per (layer, batch, dtype).  On CPU the routing rates
+  are far below BLAS GEMM rates, so large layers fall back to the
+  cached-dense path exactly as large ``k``/``U`` erodes the decode-free
+  path's reuse; on the modelled accelerator the same formulas favour LUT.
+* ``"centroid"`` — deprecated alias of ``"lut"``, accepted wherever a mode
+  is (constructor, ``engine.mode`` assignment, ``--engine-mode``, a
+  scenario's ``engine_mode``) and resolved to ``"lut"`` on entry.
 
-The centroid implementations are exact (not approximations): every mode
-produces bit-comparable results up to float summation order, which the
-equivalence tests pin down across grouping strategies, mask settings and
-compute dtypes.
+The decode-free implementation is exact (not an approximation): ``dense``
+and ``lut`` agree up to float summation order, which the equivalence tests
+pin down across grouping strategies, mask settings and compute dtypes.
 """
 
 from __future__ import annotations
@@ -66,7 +62,10 @@ from repro.nn import functional as F
 from repro.nn.module import Module
 from repro.nn.tensor import Parameter
 
-MODES = ("auto", "centroid", "dense", "lut", "lut_quant")
+MODES = ("auto", "dense", "lut", "lut_quant")
+
+#: deprecated mode names -> the mode they run
+MODE_ALIASES = {"centroid": "lut"}
 
 #: default size of the symmetric quantized-activation alphabet (levels per
 #: sign — 127 mirrors int8 activations on the paper's accelerator)
@@ -80,7 +79,7 @@ class InferenceCostModel:
     The constants are element/FLOP rates of the numpy primitives each path
     is built from, calibrated on a single AVX core; they only need to be
     directionally right, since the selection compares path estimates
-    against each other.  Lowering ``gather_elems_per_s``/raising
+    against each other.  Lowering ``lut_gather_elems_per_s``/raising
     ``gemm_flops_per_s`` models a CPU (dense GEMM wins); the converse
     models accelerator-style hardware where routing is free and FLOPs are
     the scarce resource.
@@ -90,8 +89,6 @@ class InferenceCostModel:
     gemm_flops_per_s: float = 3.0e10
     #: GEMM against the (U, d) table: K == d is tiny, BLAS runs far below peak
     skinny_gemm_flops_per_s: float = 3.0e9
-    #: fancy-indexed gather + accumulate (elements/s)
-    gather_elems_per_s: float = 3.0e8
     #: ``np.add.at`` scatter-accumulate (elements/s)
     scatter_elems_per_s: float = 5.0e7
     #: layout transposes / copies (elements/s)
@@ -112,16 +109,17 @@ class InferenceCostModel:
         """Steady-state cost of the cached-dense GEMM path."""
         return 2.0 * batch * n_in * n_out / (self.gemm_flops_per_s * self._scale(dtype))
 
-    def centroid_seconds(self, batch: int, n_in: int, n_out: int, d: int,
-                         table_size: int, gather_form: bool,
-                         dtype=np.float64) -> float:
-        """Cost of the decode-free path.
+    def lut_seconds(self, batch: int, n_in: int, n_out: int, d: int,
+                    table_size: int, gather_form: bool,
+                    dtype=np.float64) -> float:
+        """Cost of the exact decode-free (LUT) path.
 
-        ``gather_form`` selects the fused segment-gather variant (reduction
-        -side grouping); the scatter variant pays ``np.add.at`` rates
-        instead.  Both share the skinny table GEMM whose cost scales with
-        ``table_size`` — this is where large ``k`` (relative to ``N_G``)
-        erodes the centroid path's product reuse.
+        ``gather_form`` selects the flat-``np.take`` gather variant
+        (reduction-side grouping); the scatter variant pays ``np.bincount``
+        rates at float64 and plain ``np.add.at`` rates at float32.  Both
+        share the skinny table GEMM whose cost scales with ``table_size`` —
+        this is where large ``k`` (relative to ``N_G``) erodes the path's
+        product reuse.
         """
         scale = self._scale(dtype)
         num_blocks = n_in // d if gather_form else n_in
@@ -129,30 +127,9 @@ class InferenceCostModel:
         if gather_form:
             # transpose of the (batch, NB, U) product tensor + routed gather
             seconds += batch * num_blocks * table_size / (self.copy_elems_per_s * scale)
-            seconds += batch * n_out * num_blocks / (self.gather_elems_per_s * scale)
-        else:
-            # scatter-form: segment-sum activations per output group first
-            seconds += batch * n_in * (n_out // d) / (self.scatter_elems_per_s * scale)
-        return seconds
-
-    def lut_seconds(self, batch: int, n_in: int, n_out: int, d: int,
-                    table_size: int, gather_form: bool,
-                    dtype=np.float64) -> float:
-        """Cost of the exact integer/LUT path.
-
-        Same skinny table GEMM and layout terms as the centroid path; the
-        routing term runs at the faster flat-``np.take`` / ``np.bincount``
-        rates.  The float32 scatter direction pays the plain ``np.add.at``
-        rate — the LUT path keeps that kernel at float32 so it stays
-        bit-identical to the centroid path.
-        """
-        scale = self._scale(dtype)
-        num_blocks = n_in // d if gather_form else n_in
-        seconds = 2.0 * batch * n_in * table_size / (self.skinny_gemm_flops_per_s * scale)
-        if gather_form:
-            seconds += batch * num_blocks * table_size / (self.copy_elems_per_s * scale)
             seconds += batch * n_out * num_blocks / (self.lut_gather_elems_per_s * scale)
         else:
+            # scatter-form: segment-sum activations per output group first
             rate = (self.lut_scatter_elems_per_s
                     if np.dtype(dtype) == np.float64 else self.scatter_elems_per_s)
             seconds += batch * n_in * (n_out // d) / (rate * scale)
@@ -163,18 +140,13 @@ class InferenceCostModel:
         """Cheapest exact path for this shape.  ``lut_quant`` is approximate
         and therefore opt-in only — ``auto`` never selects it."""
         dense = self.dense_seconds(batch, n_in, n_out, dtype)
-        centroid = self.centroid_seconds(batch, n_in, n_out, d, table_size,
-                                         gather_form, dtype)
         lut = self.lut_seconds(batch, n_in, n_out, d, table_size,
                                gather_form, dtype)
-        best = "centroid" if centroid < dense else "dense"
-        if lut < min(centroid, dense):
-            best = "lut"
-        return best
+        return "lut" if lut < dense else "dense"
 
 
 #: grouping strategies whose subvectors lie along the GEMM reduction axis,
-#: making the centroid *forward* pass gather-form (fast segment-gather)
+#: making the decode-free *forward* pass gather-form (fast segment-gather)
 _REDUCTION_SIDE = (GroupingStrategy.INPUT, GroupingStrategy.KERNEL)
 
 
@@ -192,8 +164,6 @@ class CentroidEngine:
                  d: int, strategy: GroupingStrategy,
                  mode: str = "auto",
                  cost_model: Optional[InferenceCostModel] = None):
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         shape4 = weight_shape if len(weight_shape) == 4 else (*weight_shape, 1, 1)
         expected = grouped_shape(shape4, d, strategy)
         # hold assignments at the narrowest safe integer width (uint8 for
@@ -228,6 +198,20 @@ class CentroidEngine:
         self._dense_cache: Dict[str, np.ndarray] = {}  # cache key -> (c_out, n_in)
         self._table_cache: Dict[str, np.ndarray] = {}  # cache key -> (U, d)
         self._lut: Dict[str, np.ndarray] = {}          # "route"/"flat" LUTs
+
+    @property
+    def mode(self) -> str:
+        """Configured mode: ``"auto"`` or the concrete mode every call runs.
+        Assignment resolves deprecated aliases (``"centroid"`` -> ``"lut"``)."""
+        return self._mode
+
+    @mode.setter
+    def mode(self, value: str) -> None:
+        value = MODE_ALIASES.get(value, value)
+        if value not in MODES:
+            raise ValueError(f"mode must be one of "
+                             f"{MODES + tuple(MODE_ALIASES)}, got {value!r}")
+        self._mode = value
 
     # -- compressed state -----------------------------------------------------
     def _index_view(self, index: np.ndarray) -> np.ndarray:
@@ -423,60 +407,18 @@ class CentroidEngine:
         xb = xb.reshape(b, self.c_in // self.d, self.kh * self.kw, self.d)
         return np.ascontiguousarray(xb.transpose(0, 1, 3, 2)).reshape(b, self.n_in)
 
-    def _batch_chunk(self, width: int, itemsize: int) -> int:
-        """Batch rows per chunk so intermediates respect the block budget."""
-        return max(1, distance_block_bytes() // max(1, width * itemsize))
-
-    # -- centroid-domain cores -------------------------------------------------
+    # -- integer/LUT cores ------------------------------------------------------
     # Forward and backward are the same two primitives with the roles of
     # the block and output dimensions swapped, so one gather core and one
-    # scatter core serve all four directions:
+    # scatter core serve all four directions; routing runs off the
+    # precomputed flat LUT (``flat[row, col] = row * U + entry``):
     #
     # * gather: subvector-shaped operands meet the table once per
-    #   (row, codeword), then a fused segment-gather routes partial sums —
-    #   ``route`` maps (row, output) to the table entry to pick up.
+    #   (row, codeword), then one np.take per chunk of the flattened
+    #   (R*U, bc) partial-product tensor routes partial sums to outputs.
     # * scatter: flat operands are segment-summed per (row, codeword)
-    #   first (``route`` maps (row, operand) to the segment), then one
-    #   small GEMM against the table expands each segment to d outputs.
-
-    def _gather_core(self, rows3: np.ndarray, route: np.ndarray,
-                     out_width: int) -> np.ndarray:
-        """``(bc, R, d)`` operands x table -> routed ``(bc, out_width)``."""
-        table = self._table_as(rows3.dtype)
-        u = table.shape[0]
-        bc, r, _ = rows3.shape
-        prod = (rows3.reshape(bc * r, self.d) @ table.T).reshape(bc, r, u)
-        # (R, U, bc) layout makes each routed read a contiguous bc-vector
-        prod = np.ascontiguousarray(prod.transpose(1, 2, 0))
-        acc = np.zeros((out_width, bc), dtype=rows3.dtype)
-        chunk = max(1, distance_block_bytes() //
-                    max(1, out_width * bc * rows3.itemsize))
-        for lo in range(0, r, chunk):
-            rr = np.arange(lo, min(lo + chunk, r))
-            acc += prod[rr[:, None], route[rr]].sum(axis=0)
-        return acc.T
-
-    def _scatter_core(self, values: np.ndarray, route: np.ndarray) -> np.ndarray:
-        """``(bc, M)`` operands segment-summed by ``route`` (R, M), then
-        expanded through the table -> ``(bc, R, d)``."""
-        table = self._table_as(values.dtype)
-        u = table.shape[0]
-        bc = values.shape[0]
-        r = route.shape[0]
-        seg = np.zeros((r, u, bc), dtype=values.dtype)
-        np.add.at(seg, (np.arange(r)[:, None], route), values.T[None, :, :])
-        expanded = seg.transpose(0, 2, 1).reshape(r * bc, u) @ table
-        return np.ascontiguousarray(
-            expanded.reshape(r, bc, self.d).transpose(1, 0, 2))
-
-    # -- integer/LUT cores ------------------------------------------------------
-    # Same dataflow as the centroid cores, but routing runs off the
-    # precomputed flat LUT: the gather direction reads the flattened
-    # (R*U, bc) partial-product tensor with one np.take per chunk, and the
-    # scatter direction turns routed writes into np.bincount over the flat
-    # keys, accumulating in the wide dtype.  Chunking and summation order
-    # match the centroid cores exactly, which is what makes the exact LUT
-    # mode bit-identical.
+    #   first — np.bincount over the flat keys — then one small GEMM
+    #   against the table expands each segment to d outputs.
 
     def _lut_gather_core(self, rows3: np.ndarray) -> np.ndarray:
         """``(bc, R, d)`` operands x table -> routed ``(bc, out_width)``."""
@@ -512,8 +454,8 @@ class CentroidEngine:
                     minlength=r * u)
             seg = seg.reshape(r, u, bc)
         else:
-            # float32: bincount accumulates internally in float64 and would
-            # break bit-identity with the centroid path — keep np.add.at
+            # float32: bincount accumulates internally in float64, which
+            # would change the float32 sums' bits — keep np.add.at
             seg = np.zeros((r, u, bc), dtype=values.dtype)
             np.add.at(seg, (np.arange(r)[:, None], self._lut["route"]),
                       values.T[None, :, :])
@@ -532,48 +474,12 @@ class CentroidEngine:
 
     def _centroid_chunks(self, total: int, itemsize: int):
         """Batch-row chunks sized so the (bc, R, U) product tensor of
-        either core respects the global block budget."""
+        either LUT core respects the global block budget."""
         self._build_table()
         width = max(self.num_blocks, self.c_out // self.d) * self.table_size
-        chunk = self._batch_chunk(width, itemsize)
+        chunk = max(1, distance_block_bytes() // max(1, width * itemsize))
         for lo in range(0, total, chunk):
             yield lo, min(lo + chunk, total)
-
-    # -- centroid-domain forward ----------------------------------------------
-    def _forward_gather(self, cols: np.ndarray) -> np.ndarray:
-        """Gather-form: skinny table GEMM, then fused segment-gather."""
-        out = np.empty((cols.shape[0], self.c_out), dtype=cols.dtype)
-        for lo, hi in self._centroid_chunks(cols.shape[0], cols.itemsize):
-            out[lo:hi] = self._gather_core(
-                self._to_blocks(cols[lo:hi]), self._assign2d.T, self.c_out)
-        return out
-
-    def _forward_scatter(self, cols: np.ndarray) -> np.ndarray:
-        """Scatter-form (OUTPUT grouping): segment-sum activations per
-        codeword and output group, then one small GEMM against the table."""
-        out = np.empty((cols.shape[0], self.c_out), dtype=cols.dtype)
-        for lo, hi in self._centroid_chunks(cols.shape[0], cols.itemsize):
-            partial = self._scatter_core(cols[lo:hi], self._assign2d)
-            out[lo:hi] = partial.reshape(hi - lo, self.c_out)
-        return out
-
-    # -- centroid-domain backward (w.r.t. activations) ------------------------
-    def _backward_gather(self, grad_out: np.ndarray) -> np.ndarray:
-        """OUTPUT grouping: the transpose product is gather-form."""
-        n_go = self.c_out // self.d
-        grad_cols = np.empty((grad_out.shape[0], self.n_in), dtype=grad_out.dtype)
-        for lo, hi in self._centroid_chunks(grad_out.shape[0], grad_out.itemsize):
-            rows3 = grad_out[lo:hi].reshape(hi - lo, n_go, self.d)
-            grad_cols[lo:hi] = self._gather_core(rows3, self._assign2d, self.n_in)
-        return grad_cols
-
-    def _backward_scatter(self, grad_out: np.ndarray) -> np.ndarray:
-        """INPUT/KERNEL grouping: scatter grad_out per codeword, then GEMM."""
-        grad_cols = np.empty((grad_out.shape[0], self.n_in), dtype=grad_out.dtype)
-        for lo, hi in self._centroid_chunks(grad_out.shape[0], grad_out.itemsize):
-            blocks3 = self._scatter_core(grad_out[lo:hi], self._assign2d.T)
-            grad_cols[lo:hi] = self._from_blocks(blocks3)
-        return grad_cols
 
     # -- integer/LUT forward/backward ------------------------------------------
     def _forward_lut(self, cols: np.ndarray, quant: bool) -> np.ndarray:
@@ -618,22 +524,14 @@ class CentroidEngine:
         self.last_mode = mode
         if mode == "dense":
             return cols @ self.weight_matrix(cols.dtype).T
-        if mode in ("lut", "lut_quant"):
-            return self._forward_lut(cols, quant=(mode == "lut_quant"))
-        if self.gather_forward:
-            return self._forward_gather(cols)
-        return self._forward_scatter(cols)
+        return self._forward_lut(cols, quant=(mode == "lut_quant"))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         mode = self.choose_mode(grad_out.shape[0], grad_out.dtype)
         self.last_mode = mode
         if mode == "dense":
             return grad_out @ self.weight_matrix(grad_out.dtype)
-        if mode in ("lut", "lut_quant"):
-            return self._backward_lut(grad_out, quant=(mode == "lut_quant"))
-        if self.gather_forward:          # forward gathered -> backward scatters
-            return self._backward_scatter(grad_out)
-        return self._backward_gather(grad_out)
+        return self._backward_lut(grad_out, quant=(mode == "lut_quant"))
 
 
 class CompressedLinear(Module):

@@ -195,9 +195,13 @@ def prepare_for_serving(model: Module, input_shape: Tuple[int, ...],
     return model
 
 
-def predict_batched(model: Module, inputs: np.ndarray, batch_size: int = 32,
-                    pad_partial: bool = True) -> np.ndarray:
+def predict_batched(model: Module, inputs: np.ndarray,
+                    batch_size: int = 32) -> np.ndarray:
     """Forward ``inputs`` through ``model`` in fixed-size batches.
+
+    Every batch runs through :func:`forward_padded` (padding rows are
+    discarded from the output), so the outputs are bit-identical to the
+    model server's.
 
     Parameters
     ----------
@@ -205,11 +209,6 @@ def predict_batched(model: Module, inputs: np.ndarray, batch_size: int = 32,
         Stacked requests, shape ``(num_samples, ...)``.
     batch_size:
         Most rows per forward call.
-    pad_partial:
-        Run every batch through :func:`forward_padded`, i.e. at a fixed
-        shape (padding rows are discarded from the output), so the outputs
-        are bit-identical to the model server's; disable to forward each
-        batch as-is.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -220,15 +219,10 @@ def predict_batched(model: Module, inputs: np.ndarray, batch_size: int = 32,
     try:
         outputs: Optional[np.ndarray] = None
         for lo in range(0, n, batch_size):
-            batch = inputs[lo:lo + batch_size]
-            valid = batch.shape[0]
-            if pad_partial:
-                out = forward_padded(model, batch, batch_size)
-            else:
-                out = np.asarray(model.forward(batch))[:valid]
+            out = forward_padded(model, inputs[lo:lo + batch_size], batch_size)
             if outputs is None:
                 outputs = np.empty((n, *out.shape[1:]), dtype=out.dtype)
-            outputs[lo:lo + valid] = out
+            outputs[lo:lo + out.shape[0]] = out
         if outputs is None:
             raise ValueError("predict_batched needs at least one input row")
         return outputs

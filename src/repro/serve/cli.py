@@ -75,7 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="compressed-engine execution mode (default: "
                                "the scenario serving section's engine_mode, "
                                "else auto; lut_quant is the approximate "
-                               "quantized-activation mode)")
+                               "quantized-activation mode; centroid is a "
+                               "deprecated alias of lut)")
     batching.add_argument("--act-levels", type=int, default=None,
                           metavar="N",
                           help="quantized-activation alphabet size per sign "

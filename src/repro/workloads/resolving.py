@@ -1,11 +1,8 @@
 """The one registry-lookup helper every named registry resolves through.
 
-Before this module existed, ``get_model_factory``, ``get_workload``, the
-scenario registry and the explore space/strategy registries each hand-rolled
-the same ``KeyError``-with-available-names pattern with slightly different
-wording.  :func:`resolve` is that pattern, once: a mapping lookup whose
-failure names the kind of thing being looked up and lists what *is*
-registered, in one consistent format::
+The workload, scenario and explore space/strategy registries share
+:func:`resolve`: a mapping lookup whose failure names the kind of thing
+being looked up and lists what *is* registered, in one consistent format::
 
     unknown scenario 'quickstrat-resnet18'; available: ['quickstart-resnet18', ...]
 

@@ -1,15 +1,17 @@
-"""Integer/LUT fast path of the centroid-domain engine.
+"""Integer/LUT path of the decode-free engine.
 
-Exact-LUT mode must be *bit-identical* to the centroid path (same table
-GEMM, same accumulation order — only the routing is precomputed), the
-quantized-activation mode must stay inside a bounded relative error, the
-cost model must offer (and price) the new mode, and the narrow-width
-assignment state that feeds the tables must survive sharing/adoption.
+Exact-LUT mode must be *bit-identical* to the frozen centroid kernels it
+replaced (same table GEMM, same accumulation order — only the routing is
+precomputed), and so must the deprecated ``"centroid"`` alias that now runs
+it; the quantized-activation mode must stay inside a bounded relative
+error, the cost model must price the mode, and the narrow-width assignment
+state that feeds the tables must survive sharing/adoption.
 """
 
 import numpy as np
 import pytest
 
+from benchmarks.perf._legacy import centroid_reference
 from repro.core import LayerCompressionConfig, MVQCompressor, precision
 from repro.core.codebook import assignment_dtype
 from repro.core.grouping import GroupingStrategy
@@ -29,8 +31,7 @@ STRATEGY_CONFIGS = [
 ]
 
 
-def _compressed_conv(strategy, d, n_keep, m, store_mask, mode="centroid",
-                     k=12):
+def _compressed_conv(strategy, d, n_keep, m, store_mask, mode="lut", k=12):
     model = Sequential(Conv2d(16, 32, 3, padding=1,
                               rng=np.random.default_rng(1)))
     cfg = LayerCompressionConfig(
@@ -46,8 +47,22 @@ def _rel_err(out, ref):
             / max(float(np.linalg.norm(ref)), 1e-12))
 
 
+def _assert_matches_reference(module, rng):
+    """Forward and backward of ``module`` as configured equal the frozen
+    centroid kernels' bits."""
+    x = rng.normal(size=(2, 16, 6, 6))
+    with centroid_reference(module):
+        ref_out = module.forward(x)
+        grad = rng.normal(size=ref_out.shape)
+        ref_grad = module.backward(grad)
+    out = module.forward(x)
+    np.testing.assert_array_equal(out, ref_out)
+    np.testing.assert_array_equal(module.backward(grad), ref_grad)
+
+
 class TestLutBitExactness:
-    """Exact LUT vs centroid: same bits, every strategy, both directions."""
+    """Exact LUT vs the frozen centroid reference: same bits, every
+    strategy, both directions."""
 
     @pytest.mark.parametrize("strategy,d,n_keep,m", STRATEGY_CONFIGS,
                              ids=[s.value for s, *_ in STRATEGY_CONFIGS])
@@ -58,17 +73,62 @@ class TestLutBitExactness:
                                             store_mask, dtype, rng):
         with precision.precision(dtype):
             module = _compressed_conv(strategy, d, n_keep, m, store_mask)
-            x = rng.normal(size=(2, 16, 6, 6))
-            module.engine.mode = "centroid"
-            ref_out = module.forward(x)
-            grad = rng.normal(size=ref_out.shape)
-            ref_grad = module.backward(grad)
-
-            module.engine.mode = "lut"
-            out = module.forward(x)
-            np.testing.assert_array_equal(out, ref_out)
-            np.testing.assert_array_equal(module.backward(grad), ref_grad)
+            _assert_matches_reference(module, rng)
             assert module.engine.last_mode == "lut"
+
+    def test_reference_runs_the_centroid_kernels(self, rng):
+        """The comparator is not the LUT path: within the scope the engine's
+        own kernels never run (no routing LUT gets built)."""
+        module = _compressed_conv(GroupingStrategy.OUTPUT, 8, 2, 8, True)
+        with centroid_reference(module):
+            module.forward(rng.normal(size=(2, 16, 6, 6)))
+        assert module.engine.last_mode is None
+        assert not module.engine._lut
+
+
+class TestCentroidAlias:
+    """``"centroid"`` is a deprecated alias: it resolves to ``"lut"`` and
+    gives the frozen centroid kernels' bits."""
+
+    @pytest.mark.parametrize("strategy,d,n_keep,m", STRATEGY_CONFIGS,
+                             ids=[s.value for s, *_ in STRATEGY_CONFIGS])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_constructor_alias_runs_lut(self, strategy, d, n_keep, m, dtype,
+                                        rng):
+        with precision.precision(dtype):
+            module = _compressed_conv(strategy, d, n_keep, m, True,
+                                      mode="centroid")
+            assert module.engine.mode == "lut"
+            _assert_matches_reference(module, rng)
+            assert module.engine.last_mode == "lut"
+
+    def test_assignment_alias_runs_lut(self, rng):
+        module = _compressed_conv(GroupingStrategy.INPUT, 8, 2, 8, True,
+                                  mode="dense")
+        module.engine.mode = "centroid"
+        assert module.engine.mode == "lut"
+        _assert_matches_reference(module, rng)
+        assert module.engine.serving_stats()["last_mode"] == "lut"
+
+    def test_invalid_assignment_rejected(self):
+        engine = _compressed_conv(GroupingStrategy.INPUT, 8, 2, 8, True).engine
+        with pytest.raises(ValueError, match="mode must be one of"):
+            engine.mode = "fastest"
+        assert engine.mode == "lut"
+
+    def test_select_never_returns_centroid(self):
+        rates = [InferenceCostModel(),
+                 InferenceCostModel(gemm_flops_per_s=1e6),
+                 InferenceCostModel(lut_gather_elems_per_s=1e15,
+                                    lut_scatter_elems_per_s=1e15,
+                                    scatter_elems_per_s=1e15,
+                                    skinny_gemm_flops_per_s=1e15,
+                                    copy_elems_per_s=1e15)]
+        chosen = {model.select(batch, 512, 256, 8, u, gather_form, dtype)
+                  for model in rates for batch in (1, 64)
+                  for u in (1, 64, 2048) for gather_form in (True, False)
+                  for dtype in (np.float64, np.float32)}
+        assert chosen == {"dense", "lut"}
 
     def test_lut_builds_routing_tables_once(self, rng):
         module = _compressed_conv(GroupingStrategy.OUTPUT, 8, 2, 8, True,
@@ -92,7 +152,7 @@ class TestQuantMode:
         assert engines
         x = rng.normal(size=(4, 3, 16, 16))
         for engine in engines:
-            engine.mode = "centroid"
+            engine.mode = "lut"
         ref = model.forward(x)
         for engine in engines:
             engine.mode = "lut_quant"
@@ -103,7 +163,6 @@ class TestQuantMode:
     def test_finer_alphabet_shrinks_error(self, rng):
         module = _compressed_conv(GroupingStrategy.OUTPUT, 8, 2, 8, True)
         x = rng.normal(size=(2, 16, 6, 6))
-        module.engine.mode = "centroid"
         ref = module.forward(x)
         module.engine.mode = "lut_quant"
         errors = []
@@ -124,8 +183,7 @@ class TestQuantMode:
 
 class TestCostModelLut:
     def test_fast_lut_rates_select_lut(self):
-        # small table (high reuse) + fast routing: lut beats both the
-        # dense GEMM and the centroid path's fancy-index gather
+        # small table (high reuse) + fast routing: lut beats the dense GEMM
         fast = InferenceCostModel(lut_gather_elems_per_s=1e15,
                                   lut_scatter_elems_per_s=1e15)
         assert fast.select(1, 512, 512, 8, 8, gather_form=True) == "lut"
@@ -134,14 +192,13 @@ class TestCostModelLut:
         slow = InferenceCostModel(lut_gather_elems_per_s=1.0,
                                   lut_scatter_elems_per_s=1.0)
         for u in (1, 64, 2048):
-            assert slow.select(8, 512, 256, 8, u,
-                               gather_form=True) in ("centroid", "dense")
+            assert slow.select(8, 512, 256, 8, u, gather_form=True) == "dense"
 
     def test_auto_resolves_to_concrete_mode(self):
         engine = _compressed_conv(GroupingStrategy.INPUT, 8, 2, 8, True,
                                   mode="auto").engine
-        # free table GEMM + free LUT routing: only the centroid path's
-        # fancy-index gather (default rate) still costs anything
+        # free table GEMM + free LUT routing: only the dense GEMM still
+        # costs anything
         engine.cost_model = InferenceCostModel(skinny_gemm_flops_per_s=1e15,
                                                copy_elems_per_s=1e15,
                                                lut_gather_elems_per_s=1e15,

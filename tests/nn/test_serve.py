@@ -178,14 +178,6 @@ class TestPredictBatched:
         with pytest.raises(ValueError, match="exceeds"):
             forward_padded(model, rng.normal(size=(5, 4, 6, 6)), 4)
 
-    def test_no_padding_mode(self, rng):
-        model = _compressed_stack()
-        x = rng.normal(size=(5, 4, 6, 6))
-        model.eval()
-        expected = model.forward(x)
-        out = predict_batched(model, x, batch_size=4, pad_partial=False)
-        np.testing.assert_allclose(out, expected, atol=1e-12)
-
     def test_restores_training_mode(self, rng):
         model = _compressed_stack()
         model.train(True)

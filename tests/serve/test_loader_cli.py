@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from benchmarks.perf._legacy import centroid_reference
 from repro.nn import predict_batched
 from repro.serve import BatchPolicy, ModelServer, load_npz, load_scenario
 from repro.serve.cli import JsonlSession, build_parser
@@ -27,9 +28,13 @@ class TestPolicyFromSpec:
 
 
 @pytest.fixture(scope="module")
-def scenario_model(tmp_path_factory):
-    cache = tmp_path_factory.mktemp("serve-cache")
-    return load_scenario("serving-resnet18", replicas=2, cache_dir=str(cache))
+def serve_cache(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("serve-cache"))
+
+
+@pytest.fixture(scope="module")
+def scenario_model(serve_cache):
+    return load_scenario("serving-resnet18", replicas=2, cache_dir=serve_cache)
 
 
 class TestLoadScenario:
@@ -41,6 +46,23 @@ class TestLoadScenario:
         assert loaded.input_shape == (3, 16, 16)
         assert loaded.meta["compression_ratio"] > 1.0
         assert loaded.meta["layers"] == len(loaded.compressed)
+
+    def test_engine_mode_centroid_alias_runs_lut(self, serve_cache, rng):
+        """``--engine-mode centroid`` (deprecated) serves on the LUT
+        kernels, bit-identical to the frozen centroid reference."""
+        args = build_parser().parse_args(
+            ["--scenario", "serving-resnet18", "--engine-mode", "centroid"])
+        loaded = load_scenario(args.scenario[0], mode=args.engine_mode,
+                               cache_dir=serve_cache)
+        model = loaded.replicas[0]
+        engines = [m.engine for _, m in model.named_modules()
+                   if hasattr(m, "engine")]
+        assert engines and {e.mode for e in engines} == {"lut"}
+        x = rng.normal(size=(2, 3, 16, 16))
+        with centroid_reference(model):
+            reference = model.forward(x)
+        np.testing.assert_array_equal(model.forward(x), reference)
+        assert {e.last_mode for e in engines} == {"lut"}
 
     def test_serving_spec_feeds_policy(self, scenario_model):
         policy = scenario_model.policy()
@@ -105,7 +127,7 @@ class TestLoadNpz:
     def test_npz_roundtrip_matches_scenario_serving(self, tmp_path, rng):
         from repro.core.serialization import save_compressed_model
         from repro.nn.compressed import swap_to_compressed
-        from repro.nn.models import get_model_factory
+        from repro.workloads import model_factory
         from repro.pipeline.config import CORE_STAGES
         from repro.pipeline.scenarios import run_scenario
 
@@ -118,7 +140,7 @@ class TestLoadNpz:
                           name="from-npz")
         assert loaded.meta["source"] == "npz"
 
-        reference_model = get_model_factory("resnet18")(num_classes=5, seed=1)
+        reference_model = model_factory("resnet18")(num_classes=5, seed=1)
         from repro.core.serialization import load_compressed_model
         compressed = load_compressed_model(reference_model, str(path))
         swap_to_compressed(reference_model, compressed)
