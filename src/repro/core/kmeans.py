@@ -9,9 +9,12 @@ The hot loops are written for throughput on large layers:
 
 * **Assignment** is a single fused GEMM: the score ``||c||^2 - 2 x.c`` is
   computed as ``[x, 1] @ [-2c, ||c||^2]^T`` so one matrix product produces
-  the argmin operand directly, and rows are processed in blocks sized by
-  :func:`repro.core.precision.distance_block_bytes` so the ``(N_G, k)``
-  score matrix never exceeds the budget.
+  the argmin operand directly.  Rows are scored in blocks of about
+  ``ASSIGN_BLOCK_BYTES`` (1 MiB) into one reused score buffer, so the
+  argmin reads back from cache what the GEMM just wrote; writing the whole
+  ``(N_G, k)`` matrix and reading it back made the assignment memory-bound.
+  :func:`repro.core.precision.distance_block_bytes` caps the block, and a
+  layer whose score matrix fits one block keeps the single-GEMM path.
 * **Update** replaces ``np.add.at`` scatter-adds with a single flattened
   ``np.bincount(weights=...)`` segment sum (an order of magnitude faster;
   bincount also accumulates in float64 regardless of the compute dtype).
@@ -110,22 +113,40 @@ def segment_sums(assignments: np.ndarray, values: np.ndarray, k: int) -> np.ndar
     return np.bincount(idx, weights=values.reshape(-1), minlength=k * d).reshape(k, d)
 
 
+#: Target size of one (rows, k) score block during assignment: small enough
+#: that the GEMM writing a block and the argmin reading it back both hit
+#: cache.  :func:`repro.core.precision.distance_block_bytes` stays the ceiling.
+#: Not smaller: a block GEMM of around 1e6 multiply-adds may go to a BLAS
+#: small-matrix kernel that rounds differently from the one-shot product
+#: (seen at 256 KiB with k=100, d=8), while 1 MiB blocks matched it bit for bit.
+ASSIGN_BLOCK_BYTES = 1 << 20
+
+
 def _blocked_argmin(aug: np.ndarray, scorer: np.ndarray,
                     block_bytes: Optional[int]) -> np.ndarray:
-    """``argmin(aug @ scorer, axis=1)`` computed in row blocks.
+    """``argmin(aug @ scorer, axis=1)`` computed in cache-sized row blocks.
 
-    ``scorer`` is the (d_aug, k) fused codeword matrix; blocks are sized so
-    one (rows, k) score matrix stays within the distance budget.
+    ``scorer`` is the (d_aug, k) fused codeword matrix.  One (rows, k) score
+    buffer of at most ``ASSIGN_BLOCK_BYTES`` (and never more than the distance
+    budget) is reused for every block.  Every block GEMM has the same shape —
+    the last block overlaps its neighbour instead of running short — because
+    BLAS may dispatch a short tail (one row goes to gemv) to a kernel that
+    rounds differently, and a row's score must not depend on where the tail
+    falls.
     """
     n = aug.shape[0]
     k = scorer.shape[1]
-    rows = precision.block_rows(k, aug.dtype.itemsize, block_bytes)
+    ceiling = precision.distance_block_bytes() if block_bytes is None else block_bytes
+    rows = precision.block_rows(k, aug.dtype.itemsize,
+                                min(ASSIGN_BLOCK_BYTES, ceiling))
     if rows >= n:
         return np.argmin(aug @ scorer, axis=1)
-    out = np.empty(n, dtype=np.int64)
+    out = np.empty(n, dtype=np.intp)
+    scores = np.empty((rows, k), dtype=np.result_type(aug, scorer))
     for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        out[start:stop] = np.argmin(aug[start:stop] @ scorer, axis=1)
+        start = min(start, n - rows)
+        np.matmul(aug[start:start + rows], scorer, out=scores)
+        np.argmin(scores, axis=1, out=out[start:start + rows])
     return out
 
 

@@ -19,8 +19,9 @@ CPU.
 
 Performance notes (shared with :mod:`repro.core.kmeans`):
 
-* Assignment is one blocked GEMM ``[w, bm] @ [-2c, c^2]^T`` whose per-block
-  score matrix is bounded by the global distance budget.
+* Assignment is one blocked GEMM ``[w, bm] @ [-2c, c^2]^T`` scored in
+  cache-sized row blocks into one reused buffer; the global distance budget
+  caps the block.
 * The masked update uses flattened ``np.bincount`` segment sums instead of
   ``np.add.at`` scatter-adds (float64 accumulation built in).
 * Dense math runs in :func:`repro.core.precision.compute_dtype`; the

@@ -10,8 +10,9 @@ Two knobs, both process-wide:
   :func:`accum_dtype`.
 * **Distance block budget** — the maximum number of bytes a single
   ``(rows, k)`` distance/score block may occupy during k-means assignment.
-  Keeps the working set cache-resident and bounds peak memory on large
-  layers; the ``(N_G, k)`` matrix is never materialised beyond one block.
+  A ceiling that bounds peak memory on large layers; below it, assignment
+  scores rows in cache-sized blocks (``repro.core.kmeans.ASSIGN_BLOCK_BYTES``)
+  and the ``(N_G, k)`` matrix is never materialised beyond one block.
 
 Defaults come from the environment (``REPRO_COMPUTE_DTYPE``,
 ``REPRO_DISTANCE_BLOCK_BYTES``) so benchmark runs can flip the policy

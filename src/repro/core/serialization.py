@@ -5,6 +5,13 @@ A deployed MVQ model ships exactly the three artefacts the accelerator needs
 per-layer) int8 codebooks.  This module packs a :class:`CompressedModel`
 into a single ``.npz`` file in that format and reloads it, so a compression
 run and the hardware-facing export are decoupled.
+
+Archive dtypes: assignments are stored at
+:func:`~repro.core.codebook.assignment_dtype` of the codebook size (uint8
+for k <= 256, uint16 up to 65,536) and mask codes at the narrowest unsigned
+dtype that holds every LUT index (uint8 while ``C(M, N) <= 256``).  Archives
+written with int32 arrays by older versions still load: the loader accepts
+either width.
 """
 
 from __future__ import annotations
@@ -47,10 +54,12 @@ def save_compressed_model(compressed: CompressedModel, path: Union[str, Path]) -
             # int8 grid), so reconstruction after reload is bit-exact
             arrays[cb_name] = state.codebook.effective_codewords()
         safe = state.name.replace(".", "__")
-        arrays[f"{safe}__assignments"] = state.assignments.astype(np.int32)
+        arrays[f"{safe}__assignments"] = state.assignments.astype(
+            assignment_dtype(state.codebook.k))
         if state.config.store_mask and state.mask is not None:
             lut = MaskLUT(state.config.n_keep, state.config.m)
-            arrays[f"{safe}__mask_codes"] = lut.encode_mask(state.mask).astype(np.int32)
+            arrays[f"{safe}__mask_codes"] = lut.encode_mask(state.mask).astype(
+                np.min_scalar_type(lut.num_patterns - 1))
         manifest["layers"][state.name] = {
             "weight_shape": list(state.weight_shape),
             "config": layer_config_to_dict(state.config),
@@ -94,7 +103,7 @@ def load_compressed_model(model: Module, path: Union[str, Path]) -> CompressedMo
         mask = None
         if config.store_mask:
             lut = MaskLUT(config.n_keep, config.m)
-            mask = lut.decode_mask(arrays[f"{safe}__mask_codes"].astype(np.int64), config.d)
+            mask = lut.decode_mask(arrays[f"{safe}__mask_codes"], config.d)
 
         from repro.core.grouping import group_weight
 

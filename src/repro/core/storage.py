@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -92,7 +91,9 @@ class MaskLUT:
 
     The accelerator's weight loader stores ``ceil(log2 C(M,N))`` bits per
     M-element block and expands them to a d-bit sparse mask with this LUT
-    before the AND-gate weight reconstruction (Section 5.2).
+    before the AND-gate weight reconstruction (Section 5.2).  Index ``i`` is
+    the ``i``-th keep pattern in ``itertools.combinations(range(M), N)``
+    (lexicographic) order.
     """
 
     def __init__(self, n_keep: int, m: int):
@@ -100,16 +101,22 @@ class MaskLUT:
             raise ValueError("need 0 < N <= M")
         self.n_keep = n_keep
         self.m = m
-        self._patterns: Tuple[Tuple[int, ...], ...] = tuple(
-            itertools.combinations(range(m), n_keep)
-        )
-        self._index_of: Dict[Tuple[int, ...], int] = {
-            pattern: idx for idx, pattern in enumerate(self._patterns)
-        }
+        kept = np.array(list(itertools.combinations(range(m), n_keep)),
+                        dtype=np.intp)
+        #: (num_patterns, M) boolean keep-mask of every index
+        self.patterns = np.zeros((len(kept), m), dtype=bool)
+        self.patterns[np.arange(len(kept))[:, None], kept] = True
+        self.patterns.setflags(write=False)
+        # _skipped[j, left] = C(M-1-j, left-1): how many patterns rank before
+        # this one when bit j is clear with ``left`` kept bits still to place
+        self._skipped = np.array(
+            [[math.comb(m - 1 - j, left - 1) if left else 0
+              for left in range(n_keep + 1)] for j in range(m)],
+            dtype=np.int64)
 
     @property
     def num_patterns(self) -> int:
-        return len(self._patterns)
+        return self.patterns.shape[0]
 
     @property
     def index_bits(self) -> int:
@@ -120,41 +127,42 @@ class MaskLUT:
         mask_block = np.asarray(mask_block, dtype=bool)
         if mask_block.shape != (self.m,):
             raise ValueError(f"expected a mask of length {self.m}")
-        kept = tuple(int(i) for i in np.flatnonzero(mask_block))
-        if len(kept) != self.n_keep:
-            raise ValueError(
-                f"mask keeps {len(kept)} weights, expected exactly {self.n_keep}"
-            )
-        return self._index_of[kept]
+        return int(self.encode_mask(mask_block[None, :])[0, 0])
 
     def decode_block(self, index: int) -> np.ndarray:
         """Boolean keep-mask for a compact index."""
         if not 0 <= index < self.num_patterns:
             raise ValueError(f"index {index} out of range [0, {self.num_patterns})")
-        mask = np.zeros(self.m, dtype=bool)
-        mask[list(self._patterns[index])] = True
-        return mask
+        return self.patterns[index].copy()
 
     def encode_mask(self, mask: np.ndarray) -> np.ndarray:
-        """Encode a (N_G, d) keep-mask into per-block indices (N_G, d/M)."""
+        """Encode a (N_G, d) keep-mask into per-block indices (N_G, d/M).
+
+        Ranks every block at once with a column-wise combinadic: M vectorised
+        steps, each adding ``C(M-1-j, left-1)`` wherever bit ``j`` is clear.
+        """
         mask = np.asarray(mask, dtype=bool)
         n_groups, d = mask.shape
         if d % self.m != 0:
             raise ValueError("mask width must be a multiple of M")
-        blocks = mask.reshape(n_groups, d // self.m, self.m)
-        out = np.empty((n_groups, d // self.m), dtype=np.int64)
-        for i in range(n_groups):
-            for j in range(d // self.m):
-                out[i, j] = self.encode_block(blocks[i, j])
-        return out
+        blocks = mask.reshape(-1, self.m)
+        kept = np.count_nonzero(blocks, axis=1)
+        wrong = np.flatnonzero(kept != self.n_keep)
+        if wrong.size:
+            raise ValueError(f"mask keeps {kept[wrong[0]]} weights, "
+                             f"expected exactly {self.n_keep}")
+        codes = np.zeros(blocks.shape[0], dtype=np.int64)
+        left = np.full(blocks.shape[0], self.n_keep, dtype=np.intp)
+        for j in range(self.m):
+            bit = blocks[:, j]
+            codes += np.where(bit, 0, self._skipped[j, left])
+            left -= bit
+        return codes.reshape(n_groups, d // self.m)
 
     def decode_mask(self, indices: np.ndarray, d: int) -> np.ndarray:
         """Expand per-block indices back into a (N_G, d) boolean keep-mask."""
-        indices = np.asarray(indices, dtype=np.int64)
+        indices = np.asarray(indices)
         n_groups, blocks_per_vec = indices.shape
         if blocks_per_vec * self.m != d:
             raise ValueError("index matrix incompatible with requested width d")
-        patterns = np.zeros((self.num_patterns, self.m), dtype=bool)
-        for idx, pattern in enumerate(self._patterns):
-            patterns[idx, list(pattern)] = True
-        return patterns[indices].reshape(n_groups, d)
+        return self.patterns[indices].reshape(n_groups, d)

@@ -4,8 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.kmeans import assign_to_nearest, kmeans, update_codewords
+from repro.core import precision
+from repro.core.kmeans import (
+    ASSIGN_BLOCK_BYTES,
+    _blocked_argmin,
+    assign_to_nearest,
+    kmeans,
+    update_codewords,
+)
 from repro.core.masked_kmeans import (
+    _augment_mask,
+    _scorer_mask,
     masked_assign,
     masked_distances,
     masked_kmeans,
@@ -109,6 +118,68 @@ class TestKMeans:
         mb = kmeans(data, 4, seed=0, minibatch=64, max_iterations=50)
         assert mb.iterations == 50
         assert mb.sse <= full.sse * 2.0 + 1.0
+
+
+class TestBlockedArgmin:
+    """The cache-sized blocked assignment equals the one-shot argmin."""
+
+    K = 256
+
+    def _operands(self, rng, n, dtype, d=8):
+        data = rng.normal(size=(n, d))
+        mask = nm_prune_mask(data, 2, d)
+        aug = _augment_mask((data * mask).astype(dtype), mask.astype(dtype))
+        return aug, _scorer_mask(rng.normal(size=(self.K, d)).astype(dtype), dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("rows_to_n", [
+        lambda rows: rows - 1,          # below one block: the single GEMM
+        lambda rows: rows,              # exactly one block
+        lambda rows: 3 * rows,          # a multiple of the block rows
+        lambda rows: 3 * rows + 37,     # a short tail
+        lambda rows: 2 * rows + 1,      # a one-row tail (a gemv if run alone)
+    ], ids=["below", "equal", "multiple", "tail", "one-row-tail"])
+    def test_default_block_matches_one_shot(self, rng, dtype, rows_to_n):
+        rows = ASSIGN_BLOCK_BYTES // (self.K * np.dtype(dtype).itemsize)
+        aug, scorer = self._operands(rng, rows_to_n(rows), dtype)
+        blocked = _blocked_argmin(aug, scorer, None)
+        assert np.array_equal(blocked, np.argmin(aug @ scorer, axis=1))
+
+    def test_tail_block_has_full_rows(self, rng, monkeypatch):
+        """A short tail could reach a BLAS kernel that rounds differently
+        (one row goes to gemv), so the tail overlaps its neighbour instead."""
+        block_rows = []
+        matmul = np.matmul
+
+        def spy(a, b, **kwargs):
+            block_rows.append(a.shape[0])
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        rows = ASSIGN_BLOCK_BYTES // (self.K * 8)
+        aug, scorer = self._operands(rng, 2 * rows + 1, np.float64)
+        blocked = _blocked_argmin(aug, scorer, None)
+        assert block_rows == [rows] * 3
+        assert np.array_equal(blocked, np.argmin(aug @ scorer, axis=1))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_scoped_budget_caps_block_rows(self, rng, dtype, monkeypatch):
+        budgets = []
+        block_rows = precision.block_rows
+
+        def spy(k, itemsize, budget=None):
+            budgets.append(budget)
+            return block_rows(k, itemsize, budget)
+
+        monkeypatch.setattr(precision, "block_rows", spy)
+        aug, scorer = self._operands(rng, 1000, dtype)
+        with precision.precision(block_bytes=1 << 16):
+            blocked = _blocked_argmin(aug, scorer, None)
+        assert budgets == [1 << 16]
+        assert np.array_equal(blocked, np.argmin(aug @ scorer, axis=1))
+        # a budget above the block target is only a ceiling
+        _blocked_argmin(aug, scorer, 64 << 20)
+        assert budgets[-1] == ASSIGN_BLOCK_BYTES
 
 
 class TestMaskedKMeans:

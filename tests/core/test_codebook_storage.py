@@ -1,5 +1,7 @@
 """Tests for codebook quantization and storage/compression-ratio accounting."""
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -204,3 +206,51 @@ class TestMaskLUT:
         lut = MaskLUT(n_keep, 4)
         decoded = {tuple(lut.decode_block(i)) for i in range(lut.num_patterns)}
         assert len(decoded) == lut.num_patterns
+
+
+@functools.lru_cache(maxsize=None)
+def _lut_and_ranks(n_keep, m):
+    """A LUT and the reference rank of every keep pattern: its position in
+    ``itertools.combinations(range(m), n_keep)``."""
+    combos = itertools.combinations(range(m), n_keep)
+    return MaskLUT(n_keep, m), {kept: i for i, kept in enumerate(combos)}
+
+
+NM_PAIRS = [(n_keep, m) for m in range(1, 17) for n_keep in range(1, m + 1)]
+
+
+class TestMaskLUTEncodeProperty:
+    @pytest.mark.parametrize("n_keep,m", NM_PAIRS)
+    @given(data=st.data())
+    @settings(max_examples=5, deadline=None)
+    def test_encode_mask_ranks_in_combinations_order(self, n_keep, m, data):
+        lut, ranks = _lut_and_ranks(n_keep, m)
+        rows = data.draw(st.integers(1, 4), label="rows")
+        per_row = data.draw(st.integers(1, 3), label="blocks per row")
+        block = st.permutations(range(m)).map(lambda p: tuple(sorted(p[:n_keep])))
+        kept = data.draw(st.lists(block, min_size=rows * per_row,
+                                  max_size=rows * per_row), label="kept")
+        mask = np.zeros((rows * per_row, m), dtype=bool)
+        for i, positions in enumerate(kept):
+            mask[i, list(positions)] = True
+        mask = mask.reshape(rows, per_row * m)
+
+        codes = lut.encode_mask(mask)
+        assert codes.shape == (rows, per_row)
+        assert codes.ravel().tolist() == [ranks[positions] for positions in kept]
+        assert np.array_equal(lut.decode_mask(codes, per_row * m), mask)
+
+        # one block with a bit flipped keeps n_keep +- 1 weights
+        bad_block = data.draw(st.integers(0, rows * per_row - 1), label="bad block")
+        bit = data.draw(st.integers(0, m - 1), label="flipped bit")
+        broken = mask.reshape(-1, m).copy()
+        broken[bad_block, bit] ^= True
+        with pytest.raises(ValueError, match="expected exactly"):
+            lut.encode_mask(broken.reshape(rows, per_row * m))
+
+    @pytest.mark.parametrize("n_keep,m", NM_PAIRS)
+    def test_every_pattern_encodes_to_its_index(self, n_keep, m):
+        lut, ranks = _lut_and_ranks(n_keep, m)
+        assert lut.num_patterns == math.comb(m, n_keep) == len(ranks)
+        assert np.array_equal(lut.encode_mask(lut.patterns),
+                              np.arange(lut.num_patterns)[:, None])

@@ -16,6 +16,7 @@ from repro.core.serialization import (
     save_compressed_model,
 )
 from repro.nn.models import resnet18_mini
+from repro.serve import verify_npz
 
 
 class TestLayerPruningError:
@@ -138,3 +139,51 @@ class TestSerialization:
         modules = dict(fresh.named_modules())
         for name, state in restored.layers.items():
             assert np.allclose(modules[name].weight.value, state.reconstruct_weight())
+
+
+class TestArchiveDtypes:
+    """Archives store narrow index arrays; older int32 archives still load."""
+
+    def _saved(self, tmp_path, **cfg):
+        model = resnet18_mini(num_classes=5, seed=0)
+        config = LayerCompressionConfig(max_kmeans_iterations=3, **cfg)
+        compressed = MVQCompressor(config).compress(model)
+        path = tmp_path / "model.npz"
+        save_compressed_model(compressed, path)
+        return model, compressed, path
+
+    def _index_dtypes(self, path):
+        with np.load(path) as data:
+            return {(name.rsplit("__", 1)[-1], data[name].dtype.type)
+                    for name in data.files
+                    if name.endswith(("__assignments", "__mask_codes"))}
+
+    def test_uint8_when_codebook_and_patterns_fit_a_byte(self, tmp_path):
+        _, _, path = self._saved(tmp_path, k=256, d=8, n_keep=2, m=8)
+        assert self._index_dtypes(path) == {("assignments", np.uint8),
+                                            ("mask_codes", np.uint8)}
+
+    def test_uint16_above_a_byte(self, tmp_path):
+        # k = 257 codewords and C(16, 4) = 1820 mask patterns
+        _, _, path = self._saved(tmp_path, k=257, d=16, n_keep=4, m=16)
+        assert self._index_dtypes(path) == {("assignments", np.uint16),
+                                            ("mask_codes", np.uint16)}
+
+    def test_int32_archive_still_loads_bit_identically(self, tmp_path):
+        model, compressed, path = self._saved(tmp_path, k=16, d=8, n_keep=2, m=8)
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        for name in arrays:
+            if name.endswith(("__assignments", "__mask_codes")):
+                arrays[name] = arrays[name].astype(np.int32)
+        old = tmp_path / "int32.npz"
+        np.savez_compressed(old, **arrays)
+
+        assert self._index_dtypes(old) == {("assignments", np.int32),
+                                           ("mask_codes", np.int32)}
+        assert verify_npz(old)["layers"].keys() == compressed.layers.keys()
+        restored = load_compressed_model(model, old)
+        for name, state in compressed.layers.items():
+            assert np.array_equal(state.reconstruct_weight(),
+                                  restored.layers[name].reconstruct_weight())
+        assert restored.compression_ratio() == compressed.compression_ratio()
